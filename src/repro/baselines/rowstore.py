@@ -233,10 +233,13 @@ class MiniRowStore:
             return VirtualTable(
                 {n: np.empty(0, dtype=np.float64) for n in output}, order=output
             )
+        before = stats.rows_extracted
         if choice.method == "indexscan":
             columns = self._index_scan(info, query, needed, choice, stats)
         else:
             columns = self._seq_scan(info, needed, stats)
+        if query.where is not None:
+            stats.rows_filtered += stats.rows_extracted - before
         return self._finish(query, columns, output, stats)
 
     def _seq_scan(

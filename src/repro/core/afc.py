@@ -21,7 +21,7 @@ the chunk in a known repeat/tile pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,16 +93,27 @@ class AlignedFileChunkSet:
     def constant_map(self) -> Dict[str, int]:
         return dict(self.constants)
 
-    def implicit_columns(self, needed: Sequence[str]) -> Dict[str, np.ndarray]:
-        """Materialise requested implicit attributes as full columns."""
+    def implicit_columns(
+        self,
+        needed: Sequence[str],
+        dtypes: Optional[Mapping[str, np.dtype]] = None,
+    ) -> Dict[str, np.ndarray]:
+        """Materialise requested implicit attributes as full columns.
+
+        With ``dtypes``, each column is narrowed to its schema-declared
+        type (see :func:`narrow_implicit`).
+        """
         out: Dict[str, np.ndarray] = {}
         constants = self.constant_map
         inner = {iv.name: iv for iv in self.inner_vars}
         for name in needed:
             if name in constants:
-                out[name] = np.full(self.num_rows, constants[name])
+                col = np.full(self.num_rows, constants[name])
             elif name in inner:
-                out[name] = inner[name].materialise(self.num_rows)
+                col = inner[name].materialise(self.num_rows)
+            else:
+                continue
+            out[name] = narrow_implicit(col, name, dtypes)
         return out
 
     def implicit_bounds(self) -> Dict[str, Tuple[int, int]]:
@@ -118,6 +129,17 @@ class AlignedFileChunkSet:
     def __str__(self) -> str:
         members = ", ".join(str(c) for c in self.chunks)
         return f"{{num_rows={self.num_rows}, {members}}}"
+
+
+def narrow_implicit(
+    col: np.ndarray, name: str, dtypes: Optional[Mapping[str, np.dtype]]
+) -> np.ndarray:
+    """Implicit attributes materialise as integers; narrow one to its
+    schema-declared type so results match stored layouts."""
+    want = dtypes.get(name) if dtypes else None
+    if want is not None and col.dtype != want:
+        return col.astype(want)
+    return col
 
 
 def split_afc(
@@ -211,7 +233,10 @@ class ExtractionPlan:
     afcs: List[AlignedFileChunkSet]
     needed: List[str]  # columns to materialise (projection + WHERE refs)
     output: List[str]  # final projection, in SELECT order
-    where: Optional[object] = None  # residual predicate AST (applied to all rows)
+    #: Canonical WHERE AST.  The data source service narrows it per AFC
+    #: to the residual left once the AFC's implicit constants decide
+    #: what they can (:mod:`repro.core.residual`).
+    where: Optional[object] = None
     dtypes: Dict[str, np.dtype] = field(default_factory=dict)
     aggregate: Optional["AggregateSpec"] = None
 

@@ -539,14 +539,7 @@ class Extractor:
         coalesce: Optional[CoalescePlan] = None,
     ) -> Dict[str, np.ndarray]:
         """Materialise the needed columns of one aligned file chunk set."""
-        columns: Dict[str, np.ndarray] = afc.implicit_columns(needed)
-        if dtypes:
-            # Implicit attributes are materialised as integers; narrow them
-            # to the schema-declared type so results match stored layouts.
-            for name, col in columns.items():
-                want = dtypes.get(name)
-                if want is not None and col.dtype != want:
-                    columns[name] = col.astype(want)
+        columns: Dict[str, np.ndarray] = afc.implicit_columns(needed, dtypes)
         needed_set = set(needed)
         for chunk in afc.chunks:
             wanted = [a for a in chunk.strip.attrs if a in needed_set]
@@ -617,6 +610,7 @@ class Extractor:
             )
             stats.rows_extracted += afc.num_rows
             if plan.where is not None:
+                stats.rows_filtered += afc.num_rows
                 if tracer.enabled:
                     with tracer.span("filter", rows=afc.num_rows):
                         mask = np.asarray(
@@ -744,6 +738,7 @@ class Extractor:
             )
             stats.rows_extracted += afc.num_rows
             if plan.where is not None:
+                stats.rows_filtered += afc.num_rows
                 if tracer.enabled:
                     with tracer.span(
                         "filter", rows=afc.num_rows,

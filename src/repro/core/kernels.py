@@ -522,6 +522,7 @@ class BlockPipeline:
         self._pending = []
         self._pending_rows = 0
         if self.stats is not None:
+            self.stats.rows_filtered += num_rows
             self.stats.rows_vectorized += num_rows
         if self.tracer.enabled:
             with self.tracer.span(

@@ -36,6 +36,7 @@ from .analysis import (
     enumerate_afcs,
     match_file,
 )
+from .residual import AfcResiduals
 from .strips import PhysicalFile, enumerate_files, row_variable_order
 
 
@@ -348,6 +349,7 @@ class CompiledDataset:
                 f"aggregate: {', '.join(spec.output)}"
                 + (f" GROUP BY {', '.join(spec.group_by)}" if spec.group_by else "")
             )
+        lines.extend(_residual_lines(plan))
         for afc in plan.afcs[:5]:
             lines.append(f"  {afc}")
         if len(plan.afcs) > 5:
@@ -357,6 +359,22 @@ class CompiledDataset:
     @property
     def total_data_bytes(self) -> int:
         return sum(f.expected_size for f in self.files)
+
+
+def _residual_lines(plan: ExtractionPlan) -> List[str]:
+    """How the planned AFCs' implicit constants decide the WHERE: the
+    TRUE / FALSE / partial counts, then each distinct residual."""
+    residuals = AfcResiduals(plan.where, plan.dtypes)
+    decided = [residuals(afc) for afc in plan.afcs]
+    true = sum(1 for r in decided if r is True)
+    false = sum(1 for r in decided if r is False)
+    partial = [r for r in decided if not isinstance(r, bool)]
+    lines = [
+        f"AFC residuals: {true} TRUE, {false} FALSE, {len(partial)} partial"
+    ]
+    for residual in dict.fromkeys(partial):
+        lines.append(f"  residual WHERE: {residual}")
+    return lines
 
 
 def _merge_env(a: Dict[str, int], b: Dict[str, int]) -> Optional[Dict[str, int]]:

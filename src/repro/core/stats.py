@@ -65,14 +65,19 @@ class IOStats:
     #: part of ``bytes_read`` (nothing crossed the disk interface).
     cache_saved_bytes: int = 0
     #: Rows of cached superset tables pushed back through the filtering
-    #: service to serve subsumption hits; the cost model charges these
-    #: at ``filter_cpu`` like any other filtered row.
+    #: service to serve subsumption hits (also counted in
+    #: ``rows_filtered``, which is what the cost model prices).
     rows_refiltered: int = 0
+    #: Rows a WHERE predicate was actually evaluated over, by either
+    #: evaluator — extracted rows and cached rows re-filtered alike.
+    #: Rows of WHERE-less plans and of AFCs whose residual is TRUE or
+    #: FALSE (``repro.core.residual``) never reach a filter and are not
+    #: counted; the cost model charges filter CPU for these rows only.
+    rows_filtered: int = 0
     #: Rows whose residual WHERE ran through a compiled vectorized
     #: kernel (``repro.core.kernels``) instead of the interpreted
-    #: per-node AST walk.  A subset of ``rows_extracted`` +
-    #: ``rows_refiltered``; the cost model charges these at
-    #: ``vector_filter_cpu`` instead of ``filter_cpu``.
+    #: per-node AST walk.  A subset of ``rows_filtered``; the cost model
+    #: charges these at ``vector_filter_cpu`` instead of ``filter_cpu``.
     rows_vectorized: int = 0
 
     def merge(self, other: "IOStats") -> None:

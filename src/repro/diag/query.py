@@ -16,7 +16,7 @@ approximate, but good enough to carry line/column into editors.
 from __future__ import annotations
 
 import re
-from typing import TYPE_CHECKING, Dict, Iterator, Optional, Set, Tuple, Union
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple, Union
 
 from ..errors import QueryError, QuerySyntaxError
 from ..metadata.spans import Span
@@ -31,6 +31,7 @@ from ..sql.ast import (
     Literal,
     Node,
     Query,
+    walk,
 )
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from ..sql.parser import parse_query
@@ -139,26 +140,6 @@ def _sql_span(text: str, token: str, occurrence: int = 0) -> Optional[Span]:
                 line, column, line, column + (match.end() - match.start())
             )
     return None
-
-
-# ---------------------------------------------------------------------------
-# AST walking
-# ---------------------------------------------------------------------------
-
-
-def _walk(node: Optional[Node]) -> Iterator[Node]:
-    if node is None:
-        return
-    yield node
-    for attr in ("terms", "args"):
-        children = getattr(node, attr, None)
-        if children is not None:
-            for child in children:
-                yield from _walk(child)
-    for attr in ("term", "left", "right", "operand"):
-        child = getattr(node, attr, None)
-        if isinstance(child, Node):
-            yield from _walk(child)
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +253,7 @@ def _check_where_columns(
 def _check_functions(
     query: Query, functions: FunctionRegistry, text: str, collector: Collector
 ) -> None:
-    for node in _walk(query.where):
+    for node in walk(query.where):
         if not isinstance(node, FunctionCall):
             continue
         if node.name not in functions:
@@ -321,7 +302,7 @@ def _check_literal_types(
                 span=_sql_span(text, column.name),
             )
 
-    for node in _walk(query.where):
+    for node in walk(query.where):
         if isinstance(node, Comparison):
             if isinstance(node.right, Literal):
                 check_pair(node.left, node.right.value, "compared against")

@@ -9,7 +9,7 @@ predicate to extracted rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -339,6 +339,22 @@ class BoolLiteral(Node):
 
     def __str__(self) -> str:
         return "TRUE" if self.value else "FALSE"
+
+
+def walk(node: Optional[Node]) -> Iterator[Node]:
+    """Every node of a predicate tree, parents before children."""
+    if node is None:
+        return
+    yield node
+    for attr in ("terms", "args"):
+        children = getattr(node, attr, None)
+        if children is not None:
+            for child in children:
+                yield from walk(child)
+    for attr in ("term", "left", "right", "operand"):
+        child = getattr(node, attr, None)
+        if isinstance(child, Node):
+            yield from walk(child)
 
 
 # ---------------------------------------------------------------------------

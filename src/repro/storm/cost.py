@@ -73,23 +73,18 @@ class CostModel:
             + stats.seeks * self.seek_time
             + stats.bytes_read / self.disk_bandwidth
         )
-        # Rows filtered through a compiled kernel pay the (much lower)
-        # vectorized rate; everything else pays the interpreted rate.
-        # ``rows_vectorized`` is a subset of extracted + refiltered rows,
-        # so with vectorize off the formula reduces to the old one.
-        interp_rows = max(
-            0,
-            stats.rows_extracted
-            + stats.rows_refiltered
-            - stats.rows_vectorized,
-        )
+        # Filter CPU is charged only for rows a predicate was evaluated
+        # over (``rows_filtered``): WHERE-less plans and AFCs whose
+        # residual the implicit constants decided pay none.  Rows run
+        # through a compiled kernel pay the (much lower) vectorized
+        # rate; the rest pay the interpreted rate.
+        interp_rows = max(0, stats.rows_filtered - stats.rows_vectorized)
         cpu = (
             stats.rows_extracted * self.tuple_cpu
             + interp_rows * self.filter_cpu
             # Subsumption hits re-filter cached rows instead of reading
             # them: no disk or tuple-decode cost, but the predicate pass
-            # is real work and is priced like any other filtered row
-            # (at the vectorized rate when a kernel ran it).
+            # is real work, counted in ``rows_filtered`` like any other.
             + stats.rows_vectorized * self.vector_filter_cpu
             # Aggregate pushdown trades network for a little node CPU:
             # every row folded into partial state is priced here.

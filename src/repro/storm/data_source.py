@@ -7,6 +7,12 @@ table" (paper Section 2.3).  One service instance runs per node, owns that
 node's file handles and caches, and materialises the rows of the AFCs
 assigned to it.
 
+Per-AFC residuals: each AFC's implicit constants decide the WHERE
+conjuncts that reference only them (:mod:`repro.core.residual`).  An
+AFC whose residual is FALSE is skipped before any read; one whose
+residual is TRUE emits its rows without passing through the filtering
+service; any other AFC is filtered with its residual only.
+
 Concurrency: the extractor's handle/segment caches are internally locked
 and all chunk I/O is positional, so there is no coarse per-node lock —
 concurrent queries share one service, and within one query
@@ -28,8 +34,9 @@ from ..core.aggregate import partial_aggregate
 from ..core.extractor import CoalescePlan, Extractor, Mount
 from ..core.kernels import KERNEL_BLOCK_ROWS, BlockPipeline
 from ..core.options import DEFAULT_OPTIONS, ExecOptions
+from ..core.residual import AfcResiduals, Residual
 from ..core.stats import IOStats
-from ..core.table import VirtualTable, own_column
+from ..core.table import VirtualTable
 from ..obs.tracer import NULL_TRACER
 from .filtering import FilteringService
 
@@ -82,9 +89,12 @@ class DataSourceService:
         coalesce = self.extractor.coalesce_for(
             afcs, plan.needed, opts.coalesce_gap_bytes
         )
+        residuals = AfcResiduals(
+            plan.where, plan.dtypes, self.filtering.functions
+        )
         if plan.aggregate is not None:
             return self._execute_aggregate(
-                plan, afcs, stats, tracer, opts, coalesce
+                plan, afcs, residuals, stats, tracer, opts, coalesce
             )
         needed_set = set(plan.needed)
         run_state = opts.run_state
@@ -96,8 +106,8 @@ class DataSourceService:
             def job(afc: AlignedFileChunkSet):
                 local = IOStats()
                 selected = self._extract_one(
-                    plan, afc, needed_set, local, tracer, coalesce, run_state,
-                    vectorize,
+                    plan, afc, residuals(afc), needed_set, local, tracer,
+                    coalesce, run_state, vectorize,
                 )
                 return selected, local
 
@@ -119,18 +129,20 @@ class DataSourceService:
             # scheduler charges quotas at per-AFC boundaries — batching
             # across AFCs would widen the documented overshoot bound.
             pieces = self._execute_vectorized(
-                plan, afcs, needed_set, stats, tracer, coalesce
+                plan, afcs, residuals, needed_set, stats, tracer, coalesce
             )
         else:
             for afc in afcs:
                 selected = self._extract_one(
-                    plan, afc, needed_set, stats, tracer, coalesce, run_state,
-                    vectorize,
+                    plan, afc, residuals(afc), needed_set, stats, tracer,
+                    coalesce, run_state, vectorize,
                 )
                 if selected is None:
                     continue
                 for name in plan.output:
                     pieces[name].append(selected[name])
+        # np.concatenate always copies, so the node's result owns its
+        # memory even where the pieces are views of cached chunk payloads.
         final: Dict[str, np.ndarray] = {}
         for name in plan.output:
             if pieces[name]:
@@ -143,6 +155,7 @@ class DataSourceService:
         self,
         plan: ExtractionPlan,
         afcs: List[AlignedFileChunkSet],
+        residuals: AfcResiduals,
         needed_set: Set[str],
         stats: IOStats,
         tracer,
@@ -152,14 +165,18 @@ class DataSourceService:
 
         Emits the same rows in the same serial AFC order as the per-AFC
         path; only the number of predicate evaluations (and the Python
-        overhead per chunk set) changes.  The gathered pieces are owned
-        arrays, so no per-AFC ``own_column`` pass is needed.
+        overhead per chunk set) changes.  AFCs whose residual is FALSE
+        are skipped unread; every other AFC keeps the full WHERE, which
+        is correct for all of them and keeps blocks fusable.
         """
         kernel = self.filtering.kernel_for(plan.where, tracer)
         pipeline = BlockPipeline(
             kernel, plan.needed, plan.output, KERNEL_BLOCK_ROWS, stats, tracer
         )
         for afc in afcs:
+            if residuals(afc) is False:
+                stats.afcs_pruned += 1
+                continue
             columns = self._extract_columns(
                 plan, afc, needed_set, stats, tracer, coalesce
             )
@@ -171,6 +188,7 @@ class DataSourceService:
         self,
         plan: ExtractionPlan,
         afcs: List[AlignedFileChunkSet],
+        residuals: AfcResiduals,
         stats: IOStats,
         tracer,
         opts: ExecOptions,
@@ -192,14 +210,14 @@ class DataSourceService:
         vectorize = opts.vectorize == "on"
 
         def one(afc: AlignedFileChunkSet, st: IOStats):
-            # filtering.apply adds the filtered row count to rows_output;
+            # _extract_one adds the selected row count to rows_output;
             # the delta recovers it even when the base plan materialises
             # no columns at all (pure COUNT(*)).  Safe: ``st`` is either
             # a per-job local or used strictly sequentially.
             before = st.rows_output
             selected = self._extract_one(
-                plan, afc, needed_set, st, tracer, coalesce, run_state,
-                vectorize,
+                plan, afc, residuals(afc), needed_set, st, tracer, coalesce,
+                run_state, vectorize,
             )
             if selected is None:
                 return None
@@ -265,6 +283,7 @@ class DataSourceService:
         self,
         plan: ExtractionPlan,
         afc: AlignedFileChunkSet,
+        residual: Residual,
         needed_set: Set[str],
         stats: IOStats,
         tracer,
@@ -272,7 +291,14 @@ class DataSourceService:
         run_state=None,
         vectorize: bool = False,
     ) -> Optional[Dict[str, np.ndarray]]:
-        """Extract + filter one AFC; returns owned columns or None if empty.
+        """Extract + filter one AFC; returns its selected columns or None.
+
+        ``residual`` is the AFC's residual WHERE
+        (:class:`~repro.core.residual.AfcResiduals`): ``False`` skips the
+        AFC before any read, ``True`` selects every row without a filter
+        pass, and a predicate is applied through the filtering service.
+        The returned columns may be views of cached chunk payloads; every
+        caller concatenates or folds them, which copies.
 
         ``run_state`` is the scheduler's cooperative cancel/quota state
         (``ExecOptions.run_state``): checked before the read and charged
@@ -281,30 +307,35 @@ class DataSourceService:
         overshoots its quota by at most one AFC.  The deltas are safe
         because ``stats`` is always owned by a single thread (a per-job
         local under ``intra_node_workers``, the per-attempt stats
-        otherwise).  ``vectorize`` applies the WHERE through the
+        otherwise).  ``vectorize`` applies the residual through the
         filtering service's compiled kernel (still one evaluation per
         AFC on this path — the per-AFC quota/parallelism boundaries stay
         exactly where they were).
         """
         if run_state is not None:
             run_state.checkpoint()
+        if residual is False:
+            stats.afcs_pruned += 1
+            return None
         before_rows = stats.rows_output
         before_bytes = stats.bytes_read
         columns = self._extract_columns(
             plan, afc, needed_set, stats, tracer, coalesce
         )
-        selected = self.filtering.apply(
-            plan.where, columns, plan.output, afc.num_rows, stats, tracer,
-            vectorize=vectorize,
-        )
+        if residual is True:
+            selected = {name: columns[name] for name in plan.output}
+            stats.rows_output += afc.num_rows
+        else:
+            selected = self.filtering.apply(
+                residual, columns, plan.output, afc.num_rows, stats, tracer,
+                vectorize=vectorize,
+            )
         if run_state is not None:
             run_state.charge(
                 rows=stats.rows_output - before_rows,
                 nbytes=stats.bytes_read - before_bytes,
             )
-        if selected is None:
-            return None
-        return {name: own_column(selected[name]) for name in plan.output}
+        return selected
 
     def close(self) -> None:
         self.extractor.close()

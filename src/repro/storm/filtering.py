@@ -2,9 +2,12 @@
 
 STORM's filtering service "is responsible for execution of user-defined
 filters" (paper Section 2.3).  Chunk- and file-level pruning uses only the
-*necessary* range conditions; every extracted row still passes through the
-full WHERE expression here, including user-defined filter functions, so
-pruning can never change results.
+*necessary* range conditions, so pruning can never change results.  The
+data source service hands each aligned file chunk set its *residual*
+WHERE (:mod:`repro.core.residual`): the conjuncts its implicit constants
+already decide are dropped, AFCs decided TRUE bypass this service
+entirely, and every other extracted row passes through the residual
+here, including user-defined filter functions.
 
 Two evaluation paths produce bit-identical masks (see
 docs/architecture.md, "Vectorized execution"):
@@ -120,6 +123,8 @@ class FilteringService:
             selected = {name: own_column(columns[name]) for name in output}
             count = num_rows
         else:
+            if stats is not None:
+                stats.rows_filtered += num_rows
             if vectorize:
                 kernel = self._kernels.get(where, tracer)
                 mask = np.asarray(

@@ -2,16 +2,19 @@
 
 STORM's data mover "is responsible for transferring selected data elements
 to destination processors based on the partitioning description" (paper
-Section 2.3).  Ours materialises each client's slice, counts the bytes and
+Section 2.3).  Ours gathers each client's slice, counts the bytes and
 messages that would cross the network, and charges them to the cost model;
 the payloads are delivered in-process (the "network" of a virtual cluster
-is a function call).
+is a function call).  When the partition is the identity — one client, the
+default — the lone client receives the result's own columns, ungathered.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Optional
+
+import numpy as np
 
 from ..core.stats import IOStats
 from ..core.table import VirtualTable
@@ -61,17 +64,25 @@ class DataMoverService:
             rows=table.num_rows,
             clients=num_clients,
         ):
-            indices = partitioner.partition(table, num_clients, tracer)
+            # None marks the identity partition: no row indices needed.
+            indices: List[Optional[np.ndarray]] = (
+                [None]
+                if num_clients == 1
+                else partitioner.partition(table, num_clients, tracer)
+            )
         with tracer.span("mover", clients=num_clients) as span:
             row_size = self.row_bytes(table)
             deliveries: List[Delivery] = []
             for client, idx in enumerate(indices):
                 if self.injector is not None:
                     self.injector.on_transfer(client)
-                slice_table = VirtualTable(
-                    {n: table.column(n)[idx] for n in table.column_names},
-                    order=list(table.column_names),
-                )
+                if idx is None:
+                    slice_table = table
+                else:
+                    slice_table = VirtualTable(
+                        {n: table.column(n)[idx] for n in table.column_names},
+                        order=list(table.column_names),
+                    )
                 payload = slice_table.num_rows * row_size
                 messages = max(
                     1, -(-payload // self.message_bytes)

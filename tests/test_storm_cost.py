@@ -29,8 +29,15 @@ class TestNodeTime:
     def test_cpu_terms(self):
         model = CostModel(tuple_cpu=1e-6, filter_cpu=1e-6, seek_time=0,
                           open_time=0)
-        stats = stats_with(rows_extracted=1_000_000)
+        # Every extracted row was also filtered: decode + filter CPU.
+        stats = stats_with(rows_extracted=1_000_000, rows_filtered=1_000_000)
         assert model.node_time(stats) == pytest.approx(2.0)
+
+    def test_unfiltered_rows_pay_no_filter_cpu(self):
+        model = CostModel(tuple_cpu=1e-6, filter_cpu=1e-6, seek_time=0,
+                          open_time=0)
+        stats = stats_with(rows_extracted=1_000_000)
+        assert model.node_time(stats) == pytest.approx(1.0)
 
     def test_monotone_in_bytes(self):
         small = STORM_COST.node_time(stats_with(bytes_read=1_000_000))
