@@ -117,9 +117,13 @@ class QueryCache:
 
     # -- keying ---------------------------------------------------------------
 
-    def key_and_needed(self, query: Query) -> Tuple[QueryKey, FrozenSet[str]]:
-        """The normalized key of a resolved query, plus the columns any
-        cached table must store to answer it (output + WHERE inputs).
+    def key_and_needed(
+        self, query: Query
+    ) -> Tuple[QueryKey, FrozenSet[str], Query]:
+        """The normalized key of a resolved query, the columns any cached
+        table must store to answer it (output + WHERE inputs), and the
+        canonical (rewritten) query, which :meth:`serve` takes so one
+        submit rewrites its query once.
 
         Aggregate queries cache their *final* labelled result table:
         the key's output is the result labels, the key carries the
@@ -142,8 +146,12 @@ class QueryCache:
                 spec.output,
                 aggregate=("BY",) + spec.group_by,
             )
-            return key, frozenset(spec.output)
-        return query_key(self.fingerprint, query, output), frozenset(needed)
+            return key, frozenset(spec.output), query
+        return (
+            query_key(self.fingerprint, query, output),
+            frozenset(needed),
+            query,
+        )
 
     # -- serving --------------------------------------------------------------
 
@@ -159,6 +167,9 @@ class QueryCache:
         vectorize: bool = False,
     ) -> Optional[CacheServe]:
         """Answer from cache, or None on a miss.
+
+        ``query`` is the canonical query :meth:`key_and_needed` returned
+        with ``key`` and ``needed``.
 
         Exact hits share the frozen cached table zero-copy (its arrays
         are read-only), projected down to the query's SELECT list — the
@@ -184,9 +195,8 @@ class QueryCache:
             # original but only references columns inside ``needed``, so a
             # contradiction-folded query can never read a column the
             # cached superset does not store.
-            canonical, _ = rewrite_query(query)
             table = filtering.refilter(
-                canonical.where, entry.table, list(key.output), stats, tracer,
+                query.where, entry.table, list(key.output), stats, tracer,
                 vectorize=vectorize,
             )
         stats.cache_saved_bytes += entry.source_bytes_read

@@ -41,9 +41,9 @@ from ..errors import ExtractionError
 from ..obs.tracer import NULL_TRACER
 from ..sql.functions import DEFAULT_REGISTRY, FunctionRegistry
 from .afc import AlignedFileChunkSet, ExtractionPlan
-from .kernels import KERNEL_BLOCK_ROWS, BlockPipeline, KernelCache
+from .kernels import KERNEL_BLOCK_ROWS, BlockPipeline, KernelCache, select_rows
 from .stats import IOStats
-from .table import VirtualTable, own_column
+from .table import VirtualTable, concat_tables
 
 #: Resolves (node, dataset-relative path) to an absolute filesystem path.
 Mount = Callable[[str, str], str]
@@ -428,11 +428,11 @@ class Extractor:
         """Coalesce plan for every needed chunk read of a batch of AFCs."""
         if gap_bytes <= 0:
             return None
-        needed_set = set(needed)
+        needed_set = frozenset(needed)
         reads: List[ReadKey] = []
         for afc in afcs:
             for chunk in afc.chunks:
-                if needed_set.intersection(chunk.strip.attrs):
+                if chunk.strip.decoder(needed_set)[0]:
                     reads.append(
                         (
                             chunk.node,
@@ -540,9 +540,9 @@ class Extractor:
     ) -> Dict[str, np.ndarray]:
         """Materialise the needed columns of one aligned file chunk set."""
         columns: Dict[str, np.ndarray] = afc.implicit_columns(needed, dtypes)
-        needed_set = set(needed)
+        needed_set = frozenset(needed)
         for chunk in afc.chunks:
-            wanted = [a for a in chunk.strip.attrs if a in needed_set]
+            wanted, dtype = chunk.strip.decoder(needed_set)
             if not wanted:
                 continue
             nbytes = afc.num_rows * chunk.bytes_per_row
@@ -551,7 +551,7 @@ class Extractor:
                 coalesce,
             )
             stats.chunks_read += 1
-            records = np.frombuffer(data, dtype=chunk.strip.record_dtype(wanted))
+            records = np.frombuffer(data, dtype=dtype)
             for name in wanted:
                 columns[name] = records[name]
         missing = needed_set - set(columns)
@@ -613,29 +613,20 @@ class Extractor:
                 stats.rows_filtered += afc.num_rows
                 if tracer.enabled:
                     with tracer.span("filter", rows=afc.num_rows):
-                        mask = np.asarray(
-                            plan.where.evaluate(columns, self.functions)
-                        )
+                        mask = plan.where.evaluate(columns, self.functions)
                 else:
-                    mask = np.asarray(plan.where.evaluate(columns, self.functions))
-                if mask.ndim == 0:
-                    if not mask:
-                        continue
-                    selected = columns
-                    count = afc.num_rows
-                else:
-                    count = int(mask.sum())
-                    if count == 0:
-                        continue
-                    selected = {
-                        name: columns[name][mask] for name in plan.output
-                    }
+                    mask = plan.where.evaluate(columns, self.functions)
+                selected, count = select_rows(
+                    columns, plan.output, mask, afc.num_rows
+                )
+                if selected is None:
+                    continue
             else:
                 selected = columns
                 count = afc.num_rows
             stats.rows_output += count
             for name in plan.output:
-                pieces[name].append(own_column(selected[name]))
+                pieces[name].append(selected[name])
         return self._finish(pieces, plan)
 
     def _execute_vectorized(
@@ -670,14 +661,10 @@ class Extractor:
     def _finish(
         self, pieces: Dict[str, List[np.ndarray]], plan: ExtractionPlan
     ) -> VirtualTable:
-        final: Dict[str, np.ndarray] = {}
-        for name in plan.output:
-            if pieces[name]:
-                final[name] = np.concatenate(pieces[name])
-            else:
-                final[name] = np.empty(0, dtype=plan.dtypes.get(name, np.float64))
-        return VirtualTable(final, order=plan.output)
-
+        """Join the pieces into the result: its one copy of each value."""
+        return concat_tables(
+            [VirtualTable.from_pieces(pieces, plan.output, plan.dtypes)]
+        )
 
     def execute_iter(
         self,
@@ -715,10 +702,7 @@ class Extractor:
 
         def flush() -> VirtualTable:
             nonlocal pieces, buffered
-            table = VirtualTable(
-                {n: np.concatenate(pieces[n]) for n in plan.output},
-                order=plan.output,
-            )
+            table = self._finish(pieces, plan)
             pieces = {n: [] for n in plan.output}
             buffered = 0
             return table
@@ -726,10 +710,8 @@ class Extractor:
         def mask_of(columns, num_rows):
             if kernel is not None:
                 stats.rows_vectorized += num_rows
-                return np.asarray(
-                    kernel.evaluate(columns, num_rows, tracer=tracer)
-                )
-            return np.asarray(plan.where.evaluate(columns, self.functions))
+                return kernel.evaluate(columns, num_rows, tracer=tracer)
+            return plan.where.evaluate(columns, self.functions)
 
         for afc in plan.afcs:
             stats.afcs_processed += 1
@@ -747,22 +729,17 @@ class Extractor:
                         mask = mask_of(columns, afc.num_rows)
                 else:
                     mask = mask_of(columns, afc.num_rows)
-                if mask.ndim == 0:
-                    if not bool(mask):
-                        continue
-                    count = afc.num_rows
-                    selected = columns
-                else:
-                    count = int(mask.sum())
-                    if count == 0:
-                        continue
-                    selected = {n: columns[n][mask] for n in plan.output}
+                selected, count = select_rows(
+                    columns, plan.output, mask, afc.num_rows
+                )
+                if selected is None:
+                    continue
             else:
                 count = afc.num_rows
                 selected = columns
             stats.rows_output += count
             for name in plan.output:
-                pieces[name].append(own_column(selected[name]))
+                pieces[name].append(selected[name])
             buffered += count
             if buffered >= batch_rows:
                 yield flush()

@@ -40,9 +40,9 @@ exactly.
 
 :class:`BlockPipeline` is the batching half: small AFCs are accumulated
 into fused evaluation blocks (one ``np.concatenate`` per needed column,
-one kernel evaluation, one fancy-index gather per output column), which
-amortizes the per-chunk Python overhead while preserving serial row
-order exactly.
+one kernel evaluation, then :func:`select_rows`: one index vector taken
+by every output column), which amortizes the per-chunk Python overhead
+while preserving serial row order exactly.
 """
 
 from __future__ import annotations
@@ -70,7 +70,6 @@ from ..sql.ast import (
 )
 from ..sql.functions import FunctionRegistry
 from .stats import IOStats
-from .table import own_column
 
 #: Target rows per fused evaluation block.  Small AFCs are concatenated
 #: up to this size before one kernel pass; large AFCs simply form their
@@ -466,14 +465,48 @@ class KernelCache:
             return len(self._kernels)
 
 
+def select_rows(
+    columns: Mapping[str, np.ndarray],
+    names: Sequence[str],
+    mask: MaskLike,
+    num_rows: int,
+) -> Tuple[Optional[Dict[str, np.ndarray]], int]:
+    """The ``names`` columns cut down to the rows a boolean ``mask``
+    keeps, with that row count; ``(None, 0)`` when it keeps none.
+
+    A scalar mask keeps all ``num_rows`` rows or none.  A mask that
+    keeps every row returns the columns as they are (possibly read-only
+    views of cached chunk payloads, copied by whoever joins them).  Any
+    other mask becomes one index vector (``np.flatnonzero``) that each
+    column is gathered through with ``take`` — one scan of the mask in
+    all instead of one per column, with the same bits as boolean-mask
+    indexing.  The mask may alias a kernel buffer; nothing keeps it.
+    """
+    mask = np.asarray(mask)
+    if mask.ndim == 0:
+        if not mask:
+            return None, 0
+        return {name: columns[name] for name in names}, num_rows
+    index = np.flatnonzero(mask)
+    count = len(index)
+    if count == 0:
+        return None, 0
+    if count == len(mask):
+        return {name: columns[name] for name in names}, count
+    return {name: columns[name].take(index) for name in names}, count
+
+
 class BlockPipeline:
     """Fuses small per-AFC column blocks into large kernel evaluations.
 
     ``add`` buffers one AFC's needed columns; once ``block_rows`` rows
     are pending, the pipeline concatenates each needed column once,
-    evaluates the kernel once, and gathers each output column with one
-    fancy index — appending owned, serially-ordered pieces to
-    :attr:`pieces`.  ``finish`` flushes the remainder.  Row order is the
+    evaluates the kernel once, and cuts the block down with
+    :func:`select_rows` (one index vector for all output columns) —
+    appending serially-ordered pieces to :attr:`pieces`.  A block whose
+    rows all pass contributes its columns uncopied, so pieces may be
+    read-only views of cached chunk payloads: the owner joins them,
+    which copies.  ``finish`` flushes the remainder.  Row order is the
     ``add`` order throughout, identical to per-AFC filtering.
     """
 
@@ -539,16 +572,8 @@ class BlockPipeline:
 
     def _filter_block(self, block: Dict[str, np.ndarray], num_rows: int) -> int:
         mask = self.kernel.evaluate(block, num_rows, tracer=self.tracer)
-        if isinstance(mask, (bool, np.bool_)):
-            if not mask:
-                return 0
+        selected, count = select_rows(block, self.output, mask, num_rows)
+        if selected is not None:
             for name in self.output:
-                self.pieces[name].append(own_column(block[name]))
-            return num_rows
-        count = int(np.count_nonzero(mask))
-        if count:
-            for name in self.output:
-                # Fancy indexing copies, so the piece is owned and the
-                # kernel's mask buffer is free for the next block.
-                self.pieces[name].append(own_column(block[name][mask]))
+                self.pieces[name].append(selected[name])
         return count

@@ -23,7 +23,7 @@ under it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +65,13 @@ class LoopDim:
         return f"{self.var}[{self.start}:{self.stop}:{self.step}]@{self.byte_stride}B"
 
 
+#: Decoder memo entries kept per strip before the memo starts over: a
+#: strip sees one entry per distinct needed-column set, which a
+#: long-lived process with ad hoc projections could otherwise grow
+#: without bound.
+_MAX_DECODERS = 64
+
+
 @dataclass(frozen=True)
 class Strip:
     """A concrete attribute strip within one physical file."""
@@ -77,6 +84,12 @@ class Strip:
     record_size: int
     base_offset: int
     dims: Tuple[LoopDim, ...]
+    #: needed-column set -> (wanted attrs, record dtype); see decoder().
+    _decoders: Dict[
+        FrozenSet[str], Tuple[Tuple[str, ...], Optional[np.dtype]]
+    ] = field(
+        default_factory=dict, init=False, repr=False, compare=False, hash=False
+    )
 
     @property
     def num_records(self) -> int:
@@ -107,6 +120,26 @@ class Strip:
             {"names": names, "formats": formats, "offsets": offsets,
              "itemsize": self.record_size}
         )
+
+    def decoder(
+        self, needed: FrozenSet[str]
+    ) -> Tuple[Tuple[str, ...], Optional[np.dtype]]:
+        """The attributes of this strip in ``needed`` (in strip order)
+        and the :meth:`record_dtype` decoding them; ``None`` when no
+        attribute is needed.
+
+        Memoised per needed set, so extraction builds each dtype once
+        per strip rather than once per chunk read.  Thread safe: racing
+        builders store equal values.
+        """
+        hit = self._decoders.get(needed)
+        if hit is None:
+            wanted = tuple(a for a in self.attrs if a in needed)
+            hit = (wanted, self.record_dtype(wanted) if wanted else None)
+            if len(self._decoders) >= _MAX_DECODERS:
+                self._decoders.clear()
+            self._decoders[needed] = hit
+        return hit
 
     def dense_suffix_length(self) -> int:
         """Longest suffix of ``dims`` forming one contiguous record run.

@@ -1,9 +1,10 @@
 """The virtual relational table produced by a query.
 
 A :class:`VirtualTable` is a thin, immutable wrapper around a dict of
-column-name -> numpy array.  It is the "relational table view" the paper's
-data virtualization exposes; all columns have equal length and rows are
-materialised lazily only when callers iterate.
+column-name -> numpy array (or, for a node's partial result, a list of
+row-ordered pieces per column, joined once).  It is the "relational
+table view" the paper's data virtualization exposes; all columns have
+equal length and rows are materialised lazily only when callers iterate.
 """
 
 from __future__ import annotations
@@ -16,11 +17,17 @@ from ..errors import ReproError
 
 
 class VirtualTable:
-    """Columnar query result."""
+    """Columnar query result.
+
+    A table built with :meth:`from_pieces` holds each column as a list
+    of pieces and joins it on first access; every other table holds
+    joined columns from the start.
+    """
 
     def __init__(self, columns: Mapping[str, np.ndarray], order: Optional[Sequence[str]] = None):
         names = list(order) if order is not None else list(columns)
         self._columns: Dict[str, np.ndarray] = {}
+        self._pieces: Dict[str, List[np.ndarray]] = {}
         length = None
         for name in names:
             col = np.asarray(columns[name])
@@ -31,13 +38,50 @@ class VirtualTable:
                     f"column {name!r} has {len(col)} values, expected {length}"
                 )
             self._columns[name] = col
+        self._names: Tuple[str, ...] = tuple(self._columns)
         self._length = length or 0
+
+    @classmethod
+    def from_pieces(
+        cls,
+        pieces: Mapping[str, Sequence[np.ndarray]],
+        order: Sequence[str],
+        dtypes: Mapping[str, np.dtype],
+    ) -> "VirtualTable":
+        """A table whose columns are still lists of row-ordered pieces.
+
+        ``num_rows`` is known without joining; a column's pieces are
+        joined by one ``np.concatenate`` on first access, and
+        :func:`concat_tables` splices them straight into its own join,
+        so pieces that are read-only views of cached chunk payloads are
+        copied exactly once either way.  A column without pieces holds
+        one empty piece of its ``dtypes`` type (float64 if absent).
+        """
+        table = cls.__new__(cls)
+        table._columns = {}
+        table._pieces = {}
+        length = None
+        for name in order:
+            parts = list(pieces.get(name, ()))
+            if not parts:
+                parts = [np.empty(0, dtype=dtypes.get(name, np.float64))]
+            rows = sum(len(part) for part in parts)
+            if length is None:
+                length = rows
+            elif rows != length:
+                raise ReproError(
+                    f"column {name!r} has {rows} values, expected {length}"
+                )
+            table._pieces[name] = parts
+        table._names = tuple(table._pieces)
+        table._length = length or 0
+        return table
 
     # -- shape -----------------------------------------------------------------
 
     @property
     def column_names(self) -> Tuple[str, ...]:
-        return tuple(self._columns)
+        return self._names
 
     @property
     def num_rows(self) -> int:
@@ -46,7 +90,7 @@ class VirtualTable:
     @property
     def nbytes(self) -> int:
         """Total payload bytes across columns (the result-cache charge)."""
-        return sum(col.nbytes for col in self._columns.values())
+        return sum(col.nbytes for col in self._joined().values())
 
     def __len__(self) -> int:
         return self._length
@@ -57,29 +101,45 @@ class VirtualTable:
     # -- access ------------------------------------------------------------------
 
     def column(self, name: str) -> np.ndarray:
-        try:
-            return self._columns[name]
-        except KeyError:
-            raise ReproError(
-                f"no column {name!r}; have {list(self._columns)}"
-            ) from None
+        col = self._columns.get(name)
+        if col is not None:
+            return col
+        parts = self._pieces.get(name)
+        if parts is None:
+            # Another thread may have joined it between the two lookups.
+            col = self._columns.get(name)
+            if col is None:
+                raise ReproError(
+                    f"no column {name!r}; have {list(self._names)}"
+                )
+            return col
+        col = self._columns.setdefault(name, np.concatenate(parts))
+        self._pieces.pop(name, None)
+        return col
+
+    def _pieces_of(self, name: str) -> List[np.ndarray]:
+        """The column as row-ordered pieces, without joining it."""
+        parts = self._pieces.get(name)
+        return [self.column(name)] if parts is None else parts
+
+    def _joined(self) -> Dict[str, np.ndarray]:
+        return {name: self.column(name) for name in self._names}
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.column(name)
 
     def rows(self) -> Iterator[tuple]:
         """Iterate rows as tuples in column order."""
-        cols = list(self._columns.values())
+        cols = list(self._joined().values())
         for i in range(self._length):
             yield tuple(col[i] for col in cols)
 
     def to_structured(self) -> np.ndarray:
         """Convert to a numpy structured array (copies)."""
-        dtype = np.dtype(
-            [(name, col.dtype) for name, col in self._columns.items()]
-        )
+        columns = self._joined()
+        dtype = np.dtype([(name, col.dtype) for name, col in columns.items()])
         out = np.empty(self._length, dtype=dtype)
-        for name, col in self._columns.items():
+        for name, col in columns.items():
             out[name] = col
         return out
 
@@ -89,15 +149,15 @@ class VirtualTable:
         Used by tests to compare results as multisets regardless of the
         producing implementation's row order.
         """
-        keys = [self._columns[name] for name in reversed(list(self._columns))]
+        keys = [self.column(name) for name in reversed(self._names)]
         return np.lexsort(keys) if keys else np.arange(0)
 
     def canonical(self) -> "VirtualTable":
         """Rows sorted lexicographically — canonical form for comparisons."""
         idx = self.sort_key()
         return VirtualTable(
-            {name: col[idx] for name, col in self._columns.items()},
-            order=list(self._columns),
+            {name: col[idx] for name, col in self._joined().items()},
+            order=list(self._names),
         )
 
     def head(self, n: int = 10) -> List[tuple]:
@@ -108,7 +168,7 @@ class VirtualTable:
     def to_csv(self, stream, header: bool = True, limit: Optional[int] = None) -> int:
         """Write rows as CSV to a text stream; returns rows written."""
         if header:
-            stream.write(",".join(self._columns) + "\n")
+            stream.write(",".join(self._names) + "\n")
         count = 0
         for row in self.rows():
             if limit is not None and count >= limit:
@@ -120,7 +180,7 @@ class VirtualTable:
     def save_npz(self, path: str) -> None:
         """Persist to a compressed .npz archive (column order preserved)."""
         np.savez_compressed(
-            path, __order__=np.array(list(self._columns)), **self._columns
+            path, __order__=np.array(list(self._names)), **self._joined()
         )
 
     @classmethod
@@ -132,7 +192,7 @@ class VirtualTable:
     def __repr__(self) -> str:
         return (
             f"<VirtualTable {self._length} rows x "
-            f"{len(self._columns)} cols {list(self._columns)}>"
+            f"{len(self._names)} cols {list(self._names)}>"
         )
 
 
@@ -161,7 +221,13 @@ def own_column(arr: np.ndarray) -> np.ndarray:
 
 
 def concat_tables(tables: Sequence[VirtualTable]) -> VirtualTable:
-    """Concatenate tables with identical column sets, preserving order."""
+    """Concatenate tables with identical column sets, preserving order.
+
+    Every table's pieces (see :meth:`VirtualTable.from_pieces`) go into
+    one ``np.concatenate`` per column, so the result owns fresh,
+    writable memory and each value is copied once, even for a single
+    table.
+    """
     tables = [t for t in tables if t is not None]
     if not tables:
         return VirtualTable({})
@@ -173,7 +239,10 @@ def concat_tables(tables: Sequence[VirtualTable]) -> VirtualTable:
                 f"and {names}"
             )
     return VirtualTable(
-        {n: np.concatenate([t.column(n) for t in tables]) for n in names},
+        {
+            n: np.concatenate([part for t in tables for part in t._pieces_of(n)])
+            for n in names
+        },
         order=list(names),
     )
 

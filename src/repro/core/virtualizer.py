@@ -130,7 +130,7 @@ class Virtualizer:
         self._run_diagnostics(query, options, tracer)
         cache = self._cache_for(options)
         if cache is not None:
-            key, _ = cache.key_and_needed(query)
+            key, _, _ = cache.key_and_needed(query)
             return cache.plan_for(query, key, tracer)
         return self.dataset.plan(query, tracer=tracer)
 
@@ -206,10 +206,10 @@ class Virtualizer:
                 return self.extractor.execute(
                     plan, target, tracer, vectorize=vectorize
                 )
-            key, needed = cache.key_and_needed(query)
+            key, needed, canonical = cache.key_and_needed(query)
             run = IOStats()
             served = cache.serve(
-                key, query, needed, self._filtering_service(), run,
+                key, canonical, needed, self._filtering_service(), run,
                 tracer, options.cache_mode, vectorize=vectorize,
             )
             if served is not None:
@@ -314,10 +314,10 @@ class Virtualizer:
             # the clock before any extraction happened.
             with tracer.span("query", sql=_sql_tag(query), streaming=True):
                 if cache is not None:
-                    key, needed = cache.key_and_needed(query)
+                    key, needed, canonical = cache.key_and_needed(query)
                     run = IOStats()
                     served = cache.serve(
-                        key, query, needed, self._filtering_service(), run,
+                        key, canonical, needed, self._filtering_service(), run,
                         tracer, opts.cache_mode, vectorize=vectorize,
                     )
                     if served is not None:

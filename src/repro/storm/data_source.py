@@ -13,6 +13,10 @@ AFC whose residual is FALSE is skipped before any read; one whose
 residual is TRUE emits its rows without passing through the filtering
 service; any other AFC is filtered with its residual only.
 
+A node's row result is not joined here: it stays a list of per-AFC
+pieces (views of cached payloads for TRUE AFCs, gathered copies for the
+rest) that the coordinator splices into the query's single copy.
+
 Concurrency: the extractor's handle/segment caches are internally locked
 and all chunk I/O is positional, so there is no coarse per-node lock —
 concurrent queries share one service, and within one query
@@ -80,6 +84,13 @@ class DataSourceService:
     ) -> VirtualTable:
         """Extract + filter the given AFCs; returns this node's partial table.
 
+        The partial keeps its selected rows as per-AFC pieces
+        (:meth:`VirtualTable.from_pieces`): views of cached chunk
+        payloads for AFCs whose residual is TRUE, gathered copies for
+        the rest.  It knows ``num_rows`` without joining; joining — by
+        the coordinator's ``concat_tables`` or a first column read —
+        copies each value once.
+
         ``options`` supplies the I/O shape: ``coalesce_gap_bytes`` merges
         nearby chunk reads across all of this node's AFCs into wide
         reads, and ``intra_node_workers`` extracts AFCs concurrently.
@@ -141,15 +152,9 @@ class DataSourceService:
                     continue
                 for name in plan.output:
                     pieces[name].append(selected[name])
-        # np.concatenate always copies, so the node's result owns its
-        # memory even where the pieces are views of cached chunk payloads.
-        final: Dict[str, np.ndarray] = {}
-        for name in plan.output:
-            if pieces[name]:
-                final[name] = np.concatenate(pieces[name])
-            else:
-                final[name] = np.empty(0, dtype=plan.dtypes.get(name, np.float64))
-        return VirtualTable(final, order=plan.output)
+        # No join here: the coordinator's concat_tables splices every
+        # node's pieces into one copy (reading a column joins it too).
+        return VirtualTable.from_pieces(pieces, plan.output, plan.dtypes)
 
     def _execute_vectorized(
         self,
@@ -297,8 +302,9 @@ class DataSourceService:
         (:class:`~repro.core.residual.AfcResiduals`): ``False`` skips the
         AFC before any read, ``True`` selects every row without a filter
         pass, and a predicate is applied through the filtering service.
-        The returned columns may be views of cached chunk payloads; every
-        caller concatenates or folds them, which copies.
+        The returned columns may be views of cached chunk payloads; the
+        row path keeps them as pieces of the node's partial table, whose
+        one join copies them, and the aggregate path folds them.
 
         ``run_state`` is the scheduler's cooperative cancel/quota state
         (``ExecOptions.run_state``): checked before the read and charged

@@ -25,7 +25,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..core.kernels import KernelCache
+from ..core.kernels import KernelCache, MaskLike, select_rows
 from ..core.stats import IOStats
 from ..core.table import VirtualTable, own_column
 from ..obs.tracer import NULL_TRACER
@@ -57,7 +57,10 @@ class FilteringService:
         """Filter one block; returns projected columns or None if empty.
 
         ``columns`` may contain WHERE-only attributes beyond ``output``;
-        the result contains exactly ``output``.
+        the result contains exactly ``output``, each column writable and
+        owned.  Surviving rows are gathered through one index vector
+        (:func:`~repro.core.kernels.select_rows`), which already copies;
+        only a block whose rows all survive is copied by ``own_column``.
         """
         if tracer.enabled and where is not None:
             with tracer.span(
@@ -117,36 +120,24 @@ class FilteringService:
         tracer=NULL_TRACER,
         vectorize: bool = False,
     ) -> Optional[Dict[str, np.ndarray]]:
-        # own_column: extracted columns can be read-only zero-copy views
-        # over segment-cache payloads; never emit those to callers.
-        if where is None:
-            selected = {name: own_column(columns[name]) for name in output}
-            count = num_rows
-        else:
+        mask: MaskLike = True
+        if where is not None:
             if stats is not None:
                 stats.rows_filtered += num_rows
             if vectorize:
                 kernel = self._kernels.get(where, tracer)
-                mask = np.asarray(
-                    kernel.evaluate(columns, num_rows, tracer=tracer)
-                )
+                mask = kernel.evaluate(columns, num_rows, tracer=tracer)
                 if stats is not None:
                     stats.rows_vectorized += num_rows
             else:
-                mask = np.asarray(where.evaluate(columns, self.functions))
-            if mask.ndim == 0:
-                if not bool(mask):
-                    return None
-                selected = {name: own_column(columns[name]) for name in output}
-                count = num_rows
-            else:
-                count = int(mask.sum())
-                if count == 0:
-                    return None
-                selected = {
-                    name: own_column(columns[name][mask])
-                    for name in output
-                }
+                mask = where.evaluate(columns, self.functions)
+        selected, count = select_rows(columns, output, mask, num_rows)
         if stats is not None:
             stats.rows_output += count
-        return selected
+        if selected is None:
+            return None
+        # own_column: when every row survives, select_rows hands back the
+        # extracted columns themselves, which can be read-only zero-copy
+        # views over segment-cache payloads; never emit those to callers.
+        # Gathered columns are fresh and pass through uncopied.
+        return {name: own_column(col) for name, col in selected.items()}

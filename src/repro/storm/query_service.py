@@ -345,10 +345,10 @@ class QueryService:
             ctx = TraceContext(tracer, query_span)
             served = key = None
             if cache is not None:
-                key, needed = cache.key_and_needed(resolved)
+                key, needed, canonical = cache.key_and_needed(resolved)
                 cache_io = IOStats()
                 served = cache.serve(
-                    key, resolved, needed, self.filtering, cache_io,
+                    key, canonical, needed, self.filtering, cache_io,
                     tracer, opts.cache_mode,
                     vectorize=opts.vectorize == "on",
                 )
@@ -706,20 +706,16 @@ class QueryService:
             raise failures[failed_nodes[0]]
         partials = [p for p in maybe_partials if p is not None]
 
-        if partials:
-            table = concat_tables(partials)
-        elif getattr(plan, "aggregate", None) is not None:
+        if not partials and getattr(plan, "aggregate", None) is not None:
             # Aggregate plans return state frames, not base rows.
             table = plan.aggregate.empty_state(plan.dtypes)
         else:
-            import numpy as np
-
-            table = VirtualTable(
-                {
-                    n: np.empty(0, dtype=plan.dtypes.get(n, np.float64))
-                    for n in plan.output
-                },
-                order=plan.output,
+            # The query's one copy: every node's pieces go into a single
+            # np.concatenate per column (typed empty columns if no node
+            # returned anything).
+            table = concat_tables(
+                partials
+                or [VirtualTable.from_pieces({}, plan.output, plan.dtypes)]
             )
         return table, per_node_stats, failed_nodes
 
